@@ -1,10 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md's
-per-experiment index).  Besides timing a representative kernel with
-pytest-benchmark, each benchmark writes the regenerated rows to
-``benchmarks/results/<name>.json`` so that EXPERIMENTS.md can be refreshed
-from a single run, and prints them with ``-s``.
+Every benchmark regenerates one table or figure of the paper (the module
+docstring of each ``test_bench_*.py`` names it).  Besides timing a
+representative kernel with pytest-benchmark, each benchmark writes the
+regenerated rows to ``benchmarks/results/<name>.json``, so one run refreshes
+every committed result, and prints them with ``-s``.
 """
 
 from __future__ import annotations

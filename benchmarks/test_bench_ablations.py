@@ -3,7 +3,7 @@
 The paper proposes three stabilizing techniques (warm-up training,
 distribution-based shifting, per-role es selection) and a hardware-friendly
 rounding mode.  These ablations quantify each choice on a small synthetic
-task, providing the evidence table DESIGN.md promises:
+task, providing the evidence table for each of them:
 
 * warm-up on/off,
 * shifting on/off and a sigma sweep,

@@ -7,8 +7,8 @@ paper's justification for the FP32 warm-up phase.
 
 The benchmark trains a small Cifar-stem ResNet in FP32 for a few epochs,
 records both distributions every epoch, and asserts the qualitative shape:
-the BN shift dominates the CONV shift.  Histogram summaries are saved for
-EXPERIMENTS.md.
+the BN shift dominates the CONV shift.  Histogram summaries are saved to
+benchmarks/results.
 """
 
 import numpy as np

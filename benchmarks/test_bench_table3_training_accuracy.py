@@ -18,7 +18,7 @@ small Cifar-stem ResNet on the synthetic cifar-like dataset — and asserts the
 relative claim: the posit runs land within a few points of the FP32 baseline,
 while an aggressive low-bit configuration without the paper's stabilizing
 techniques falls behind.  Absolute accuracies are recorded in
-benchmarks/results for EXPERIMENTS.md.
+benchmarks/results.
 """
 
 import numpy as np

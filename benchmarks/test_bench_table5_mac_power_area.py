@@ -22,7 +22,7 @@ import numpy as np
 from repro.hardware import FP32MAC, PositMAC, table5_report
 from repro.posit import PositConfig, encode
 
-#: The paper's Table V, for the EXPERIMENTS.md side-by-side.
+#: The paper's Table V, for the paper-vs-model side-by-side in the results.
 PAPER_TABLE5 = {
     "FP32": {"power_mw": 2.52, "area_um2": 4322},
     "posit(8,1)": {"power_mw": 0.45, "area_um2": 1208},

@@ -12,8 +12,8 @@ Regenerates, from the analytical synthesis model:
 
 The model is calibrated on exactly one published reference point (the FP32
 MAC row of Table V and the [6] posit(16,1) decoder delay); every other number
-is a structural prediction.  See EXPERIMENTS.md for the paper-vs-model
-comparison.
+is a structural prediction; ``benchmarks/test_bench_table5_mac_power_area.py``
+records the paper-vs-model comparison.
 
 Run with:  python examples/hardware_report.py
 """

@@ -5,8 +5,7 @@ Reduced-scale analogue of the paper's ImageNet experiment (Table III, right
 column): ResNet-18 trained with posit(16,1) for the forward pass and weight
 update and posit(16,2) for the backward pass, after 5 epochs of FP32 warm-up.
 
-Differences from the paper, forced by the offline CPU setting and documented
-in DESIGN.md: the dataset is the synthetic imagenet-like generator (64x64
+Differences from the paper, forced by the offline CPU setting: the dataset is the synthetic imagenet-like generator (64x64
 images, 20 classes) instead of ImageNet-1k, the model keeps the ImageNet stem
 (7x7 stride-2 conv + max pool + 4 stages) but uses a width of 8, and the run
 is a handful of epochs.  The claim under test is the relative one: the 16-bit

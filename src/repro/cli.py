@@ -43,12 +43,13 @@ replays before accepting traffic (:mod:`repro.serve`).
 
 ``serve`` runs the adaptive control plane by default: a periodic
 controller autoscales the worker count between ``--min-workers`` and
-``--max-workers`` (never past ``os.cpu_count()``), AIMD-tunes the
-coalescing wait against ``--slo-p99-ms``, and sheds overload as HTTP 429 +
-``Retry-After`` instead of failing requests; ``--no-autoscale`` pins the
-worker count.  ``artifact inspect`` prints an artifact's manifest summary
-(version, per-tensor formats, guardrail, segment table) from the header
-alone — no blob decode, so it is instant on any size artifact.
+``--max-workers`` (never past the BLAS threads the usable cores hold),
+AIMD-tunes the coalescing wait against ``--slo-p99-ms``, and sheds
+overload as HTTP 429 + ``Retry-After`` instead of failing requests;
+``--no-autoscale`` pins the worker count.  ``artifact inspect`` prints an
+artifact's manifest summary (version, per-tensor formats, guardrail,
+segment table) from the header alone — no blob decode, so it is instant
+on any size artifact.
 
 ``serve --trace`` turns on the :mod:`repro.obs` request tracer: every
 sampled ``/predict`` is recorded as one span tree (admission → queue →
@@ -193,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="autoscaler floor on worker processes (default: 1)")
     serve.add_argument("--max-workers", type=int, default=None,
                        help="autoscaler ceiling on worker processes "
-                            "(default: --workers; always capped at cpu_count)")
+                            "(default: --workers; always capped at the "
+                            "usable cores)")
     serve.add_argument("--no-autoscale", action="store_true",
                        help="pin the worker count (the controller still tunes "
                             "the coalescing wait and grades load)")

@@ -3,7 +3,7 @@
 Collects per-epoch loss/accuracy (train and validation) plus any auxiliary
 scalars the trainer wants to log (learning rate, quantization phase, scale
 factors).  The benchmark harness serializes these records into the tables
-reported in EXPERIMENTS.md.
+under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -36,9 +36,11 @@ in posit is *served* in posit.  Four layers, composable separately:
   control plane: a lock-cheap rolling-window metrics collector sampled by
   every engine (arrivals, rejects, batch occupancy, per-stage p50/p99)
   feeds a periodic :class:`Controller` that autoscales the cluster between
-  ``min_workers``/``max_workers`` (capped at ``os.cpu_count()`` — two
-  workers on one core is slower than one), AIMD-tunes ``max_wait_ms``
-  against a p99 SLO, and grades load as ok/busy/overloaded.  Overflowing
+  ``min_workers``/``max_workers`` (capped at the usable cores, counted in
+  BLAS threads — two workers on one core is slower than one), AIMD-tunes
+  ``max_wait_ms`` against a p99 SLO, and grades load as
+  ok/busy/overloaded.  Each cluster worker runs a BLAS pool of
+  ``max(1, cores // workers)`` threads (:mod:`repro.serve.blas`).  Overflowing
   the bounded admission queue is backpressure, not failure:
   :class:`AdmissionError` maps to HTTP 429 + ``Retry-After``.
 * :mod:`repro.obs` (cross-cutting) — optional request tracing: pass a

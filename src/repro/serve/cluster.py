@@ -50,6 +50,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..obs.tracing import TraceConfig, Tracer
+from .blas import blas_env, blas_pinnable, set_blas_threads, usable_cores, worker_budget
 from .control import load_state as classify_load
 from .engine import AdmissionError, BatchingConfig, GuardrailError, InferenceEngine
 from .metrics import MetricsCollector, merge_snapshots
@@ -89,11 +90,15 @@ def _cluster_context(name: Optional[str]) -> mp.context.BaseContext:
 
 def _worker_main(index: int, artifact: str, batching: Optional[dict],
                  quantize_activations: bool, verify_guardrail: bool,
-                 conn, tracing: Optional[dict] = None) -> None:
+                 conn, tracing: Optional[dict] = None,
+                 blas_threads: Optional[int] = None) -> None:
     """Engine worker process body.
 
-    Handshake first: construct the engine (which replays the guardrail) and
-    report ``ready`` or ``failed`` — a guardrail violation makes the worker
+    The BLAS pool is sized to ``blas_threads`` before anything else, so the
+    guardrail replay already runs at the supervisor's per-worker budget;
+    later budgets arrive as ``control`` messages.  Handshake next:
+    construct the engine (which replays the guardrail) and report
+    ``ready`` or ``failed`` — a guardrail violation makes the worker
     exit with a non-zero status without ever serving a request.  Then serve
     messages off the pipe through a persistent handler pool, so concurrent
     dispatches coalesce in the engine's micro-batcher exactly like
@@ -106,6 +111,9 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread/platform
         pass
+
+    if blas_threads is not None:
+        set_blas_threads(blas_threads)
 
     send_lock = threading.Lock()
 
@@ -173,6 +181,8 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
                 # Actuation from the supervisor's controller.
                 if "max_wait_ms" in message:
                     engine.set_max_wait_ms(message["max_wait_ms"])
+                if "blas_threads" in message:
+                    engine.set_blas_threads(message["blas_threads"])
                 result = {"worker": index, "max_wait_ms": engine.max_wait_ms}
             elif message["kind"] == "ping":
                 result = {"worker": index, "pid": os.getpid()}
@@ -255,6 +265,8 @@ class _WorkerHandle:
         self.guardrail: Optional[str] = None
         self.pid: Optional[int] = None
         self.restarts = 0
+        #: BLAS threads the worker was last told to run (spawn or control).
+        self.blas_threads: Optional[int] = None
         self.dispatched = 0
         self.outstanding = 0
         #: Incremented on every (re)spawn; reader threads tag themselves
@@ -317,7 +329,8 @@ class ServeCluster:
         self._retired: list[_WorkerHandle] = []
         #: Guards handle-list mutations (autoscaling) against the monitor,
         #: dispatch, and introspection walking the list concurrently.
-        self._handles_lock = threading.Lock()
+        #: Re-entrant: scale_to spawns (which reads the BLAS budget) under it.
+        self._handles_lock = threading.RLock()
         self._rotor = itertools.count()
         self._next_index = itertools.count(self.config.workers)
         self._target_workers = self.config.workers
@@ -335,6 +348,9 @@ class ServeCluster:
         self.metrics = MetricsCollector()
         self._max_wait_ms = float((batching or BatchingConfig()).max_wait_ms)
         self._queue_size = int((batching or BatchingConfig()).queue_size)
+        self._cores = usable_cores()
+        #: Serializes budget broadcasts from scale_to and the monitor.
+        self._blas_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -350,25 +366,54 @@ class ServeCluster:
         payload["max_wait_ms"] = self._max_wait_ms
         return payload
 
+    @property
+    def blas_budget(self) -> int:
+        """BLAS threads per worker: ``max(1, cores // workers)``.
+
+        ``workers`` counts every process that holds or will take a core:
+        ready and starting workers, plus dead ones the monitor will restart.
+        """
+        with self._handles_lock:
+            workers = sum(
+                1 for handle in self._handles
+                if handle.state in (_STARTING, _READY)
+                or (handle.state == _DEAD
+                    and handle.restarts < self.config.max_restarts))
+        return worker_budget(workers, self._cores)
+
+    @property
+    def blas_pinnable(self) -> bool:
+        """Whether workers can pin their BLAS pools (they load this
+        process's BLAS library), i.e. whether each worker occupies one
+        budgeted share of the cores rather than a full-width pool."""
+        return blas_pinnable()
+
     def _spawn(self, handle: _WorkerHandle) -> None:
         """(Re)start one worker: fresh pipe, process, and reader thread."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        handle.state = _STARTING  # counted in its own budget, restart or not
+        handle.blas_threads = self.blas_budget
         process = self._ctx.Process(
             target=_worker_main,
             args=(handle.index, self.artifact_path,
                   self._batching_payload(),
                   self.quantize_activations, self.verify_guardrail,
                   child_conn,
-                  self.tracing.to_dict() if self.tracing else None),
+                  self.tracing.to_dict() if self.tracing else None,
+                  handle.blas_threads),
             name=f"repro-serve-worker-{handle.index}",
             daemon=True)
         handle.conn = parent_conn
         handle.process = process
-        handle.state = _STARTING
         handle.ready_event.clear()
         handle.failure = None
         handle.epoch += 1
-        process.start()
+        if self._ctx.get_start_method() == "spawn":
+            # A spawned child imports NumPy afresh: size its pool at load too.
+            with blas_env(handle.blas_threads):
+                process.start()
+        else:
+            process.start()
         child_conn.close()  # the child's end lives in the child now
         handle.reader = threading.Thread(
             target=self._read_loop, args=(handle, parent_conn, handle.epoch),
@@ -487,6 +532,10 @@ class ServeCluster:
                     if handle.restarts < self.config.max_restarts:
                         handle.restarts += 1
                         self._spawn(handle)
+            if not self._stopping:
+                # Covers crash restarts, restart budgets running out, and
+                # workers that came up after a budget change.
+                self._rebalance_blas()
 
     def _terminate_all(self) -> None:
         with self._handles_lock:
@@ -726,9 +775,10 @@ class ServeCluster:
                       if handle.state in (_STARTING, _READY)]
             delta = target - len(active)
             if delta > 0:
-                for _ in range(delta):
-                    handle = _WorkerHandle(next(self._next_index))
-                    self._handles.append(handle)
+                added = [_WorkerHandle(next(self._next_index))
+                         for _ in range(delta)]
+                self._handles.extend(added)  # counted in every new budget
+                for handle in added:
                     self._spawn(handle)
             elif delta < 0:
                 # Ready workers first (their drain is observable), ordered
@@ -747,7 +797,30 @@ class ServeCluster:
             self._target_workers = target
         if delta:
             self.metrics.count("scale_up" if delta > 0 else "scale_down")
+            self._rebalance_blas()
         return delta
+
+    def _rebalance_blas(self) -> None:
+        """Send the current BLAS budget to live workers running another.
+
+        Called after every worker-count change (scale moves here, crash
+        restarts and exhausted restart budgets from the monitor); a worker
+        that misses the message keeps its recorded old budget and is
+        retried on the next call.
+        """
+        with self._blas_lock:
+            budget = self.blas_budget
+            for handle in self._live_handles():
+                if handle.blas_threads == budget:
+                    continue
+                try:
+                    self._request(handle, {"kind": "control",
+                                           "blas_threads": budget},
+                                  timeout=5.0)
+                except (WorkerCrashed, FuturesTimeout, ClusterError,
+                        RuntimeError):
+                    continue
+                handle.blas_threads = budget
 
     def _drain_retired(self, handle: _WorkerHandle,
                        drain_timeout_s: float = 30.0) -> None:
@@ -915,6 +988,9 @@ class ServeCluster:
             "alive": len(self._live_handles()),
             "load_state": self.healthz()["status"],
             "max_wait_ms": self._max_wait_ms,
+            # Per-worker BLAS threads (what each worker actually runs) are
+            # in per_worker[i]["blas"]; this is the budget they are sent.
+            "blas_budget": self.blas_budget,
             "restarts": sum(handle.restarts for handle in handles),
             "dispatched": [handle.dispatched for handle in handles],
             "requests": requests,

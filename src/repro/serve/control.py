@@ -12,9 +12,10 @@ blew p99 out to 190 ms.  This module closes the loop:
   unit tests tick it deterministically) that
 
   - **autoscales** the worker count between ``min_workers`` and
-    ``max_workers`` from measured queue utilization, *capped at the host's
-    core count* — on a core-starved host the cap scales a 2-worker cluster
-    down to 1, which is exactly the recorded regression;
+    ``max_workers`` from measured queue utilization, *capped at the BLAS
+    threads the host's cores can run* — on a core-starved host the cap
+    scales a 2-worker cluster down to 1, which is exactly the recorded
+    regression;
   - **tunes** ``max_wait_ms`` online with an AIMD rule against a p99 SLO:
     additive increase (more coalescing, more throughput) while p99 sits
     comfortably under the SLO, multiplicative decrease the moment it
@@ -42,12 +43,13 @@ and pace against, instead of tail latency they can only suffer.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from .blas import usable_cores
 
 __all__ = ["ControlConfig", "Controller", "EnginePlant", "ClusterPlant",
            "load_state", "LOAD_STATES"]
@@ -184,6 +186,10 @@ class ClusterPlant:
     def scale_to(self, target: int) -> int:
         return self.cluster.scale_to(target)
 
+    @property
+    def blas_pinnable(self) -> bool:
+        return self.cluster.blas_pinnable
+
 
 class Controller:
     """Periodic control loop over one plant (engine or cluster).
@@ -195,10 +201,14 @@ class Controller:
     same tick on a daemon thread every ``config.interval_s`` for
     production use.
 
-    ``cpu_count`` caps the autoscaler above ``min_workers``: workers
-    beyond the host's cores cannot add MAC throughput, only dispatch
-    overhead (the measured 1-vs-2-worker regression on a single core), so
-    the cap applies immediately — no hysteresis for physics.
+    ``cpu_count`` (default: the cores this process may run on) caps the
+    autoscaler above ``min_workers`` in BLAS threads, not processes: BLAS
+    threads beyond the host's cores cannot add MAC throughput, only
+    contention and dispatch overhead (the measured 1-vs-2-worker
+    regression on a single core), so the cap applies immediately — no
+    hysteresis for physics.  A plant whose workers pin their BLAS pools
+    (``plant.blas_pinnable``, assumed when a plant does not say) costs one
+    thread per worker; otherwise every worker runs a full-width pool.
     """
 
     def __init__(self, plant, config: Optional[ControlConfig] = None,
@@ -208,7 +218,7 @@ class Controller:
         self.config = config or ControlConfig()
         self.clock = clock
         self.cpu_count = int(cpu_count if cpu_count is not None
-                             else (os.cpu_count() or 1))
+                             else usable_cores())
         self.ticks = 0
         self.scale_events: list[dict] = []
         self.last_decision: Optional[dict] = None
@@ -229,10 +239,17 @@ class Controller:
     # The deterministic core
     # ------------------------------------------------------------------ #
     @property
+    def threads_per_worker(self) -> int:
+        """BLAS threads one worker occupies: 1 pinned, else every core."""
+        return 1 if getattr(self.plant, "blas_pinnable", True) else self.cpu_count
+
+    @property
     def worker_cap(self) -> int:
-        """Autoscaling ceiling: min(max_workers, cores), never below min."""
+        """Autoscaling ceiling: as many workers as the cores have BLAS
+        threads for, at most ``max_workers``, never below ``min_workers``."""
         return max(self.config.min_workers,
-                   min(self.config.max_workers, self.cpu_count))
+                   min(self.config.max_workers,
+                       self.cpu_count // self.threads_per_worker))
 
     def _tune_wait(self, observation: dict, decision: dict) -> None:
         config = self.config
@@ -243,6 +260,10 @@ class Controller:
         if p99 > config.slo_p99_ms:
             # Multiplicative decrease: over SLO, shed coalescing delay fast.
             target = max(config.wait_min_ms, wait * config.wait_backoff)
+            if target - config.wait_min_ms < config.wait_additive_ms:
+                # Within one additive step of the floor: settle on it, or
+                # halving would approach it (and log a backoff) forever.
+                target = config.wait_min_ms
             reason = "p99-over-slo"
         elif p99 < config.slo_headroom * config.slo_p99_ms:
             # Additive increase: comfortably under SLO, buy batch occupancy.
@@ -375,6 +396,7 @@ class Controller:
         return {
             "config": self.config.to_dict(),
             "cpu_count": self.cpu_count,
+            "threads_per_worker": self.threads_per_worker,
             "worker_cap": self.worker_cap,
             "ticks": self.ticks,
             "scale_events": list(self.scale_events[-8:]),

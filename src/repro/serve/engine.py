@@ -53,6 +53,7 @@ from ..obs.profiler import profiler as _codec_profiler
 from ..obs.tracing import TraceConfig, Tracer
 from ..tensor import Tensor, no_grad
 from .artifact import format_breakdown, load_model
+from .blas import blas_info, set_blas_threads
 from .control import load_state as classify_load
 from .metrics import MetricsCollector
 
@@ -207,6 +208,8 @@ class InferenceEngine:
         self.metrics = MetricsCollector()
         self._stop_event = threading.Event()
         self._worker: Optional[threading.Thread] = None
+        #: BLAS thread count waiting for the batcher to apply between batches.
+        self._pending_blas_threads: Optional[int] = None
         model_block = self.manifest.get("model") or {}
         shape = model_block.get("input_shape")
         self._input_shape = tuple(int(dim) for dim in shape) if shape else None
@@ -520,6 +523,8 @@ class InferenceEngine:
         """
         first = None
         while first is None:
+            if self._pending_blas_threads is not None:
+                self._apply_blas_threads()
             try:
                 first = self._queue.get(timeout=0.05)
             except queue.Empty:
@@ -679,6 +684,24 @@ class InferenceEngine:
         self._max_wait_ms = max(0.0, float(value))
         return self._max_wait_ms
 
+    def set_blas_threads(self, threads: int) -> None:
+        """Resize this process's BLAS pool to ``threads`` between batches.
+
+        OpenBLAS must not be resized while a GEMM is running, so a started
+        engine hands the value to its batcher thread, which applies it
+        before picking up its next batch (within one 50 ms idle poll).
+        """
+        with self._lock:
+            self._pending_blas_threads = max(1, int(threads))
+        if self._worker is None or not self._worker.is_alive():
+            self._apply_blas_threads()
+
+    def _apply_blas_threads(self) -> None:
+        with self._lock:
+            threads, self._pending_blas_threads = self._pending_blas_threads, None
+        if threads is not None:
+            set_blas_threads(threads)
+
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting for a batch (approximate, lock-free)."""
@@ -752,6 +775,7 @@ class InferenceEngine:
             "uptime_s": time.perf_counter() - self._started_at,
             "tracing": self.tracer.summary(),
             "codec_kernels": _kernels_enabled(),
+            "blas": blas_info(),
         }
         if self._codec_profiling:
             payload["codec_profile"] = _codec_profiler.snapshot()

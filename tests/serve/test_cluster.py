@@ -29,6 +29,7 @@ from repro.serve import (
     run_load,
     train_and_export,
 )
+from repro.serve.blas import blas_pinnable, worker_budget
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -276,3 +277,40 @@ class TestClusterHTTP:
         with pytest.raises(ServeClientError) as excinfo:
             HTTPClient(server.url).predict([np.zeros(9)])
         assert excinfo.value.status == 400
+
+
+# --------------------------------------------------------------------- #
+# Per-worker BLAS thread budget
+# --------------------------------------------------------------------- #
+@pytest.mark.skipif(not blas_pinnable(),
+                    reason="no BLAS with a run-time thread setter is loaded")
+class TestClusterBlasBudget:
+    @staticmethod
+    def worker_threads(stats: dict) -> list:
+        return [row["blas"]["threads"] for row in stats["per_worker"]]
+
+    def test_workers_run_the_budget_and_rebalance_on_scale(self, artifact,
+                                                           samples):
+        direct = InferenceEngine(artifact).predict_batch(samples[:8])
+        cluster = ServeCluster(artifact, ClusterConfig(workers=2))
+        with ClusterServer(cluster) as server:
+            client = HTTPClient(server.url)
+            budget = worker_budget(2)
+            stats = client.stats()
+            assert stats["blas_budget"] == budget
+            assert self.worker_threads(stats) == [budget, budget]
+            assert all(row["blas"]["pinned"] for row in stats["per_worker"])
+
+            assert cluster.scale_to(1) == -1
+            assert cluster.blas_budget == worker_budget(1)
+            assert wait_until(lambda: self.worker_threads(client.stats())
+                              == [worker_budget(1)], timeout_s=10.0)
+            # Resizing the pool between batches leaves logits bit-identical.
+            served = client.predict(list(samples[:8]))
+            assert np.array_equal(np.asarray(served["logits"]), direct)
+
+            # Growing shrinks the survivor to the new share (on a 2-core
+            # host, more workers than cores: everyone at the 1-thread floor).
+            assert cluster.scale_to(3) == 2
+            assert wait_until(lambda: self.worker_threads(client.stats())
+                              == [worker_budget(3)] * 3, timeout_s=30.0)

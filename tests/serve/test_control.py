@@ -168,6 +168,20 @@ class TestWaitTuning:
             controller.tick(observation(p99_ms=500.0))
         assert plant_low.max_wait_ms >= 0.0
 
+    def test_sustained_overload_settles_at_the_floor(self):
+        # Halving alone approaches wait_min_ms = 0 forever, logging a
+        # backoff every tick; within one additive step it must snap to the
+        # floor and the settled controller must go quiet.
+        plant = FakePlant(max_wait_ms=2.0)
+        controller = self.controller(plant)
+        clock = controller.clock
+        for _ in range(40):
+            clock.advance(0.5)
+            controller.tick(observation(p99_ms=500.0))
+        assert plant.wait_history == [1.0, 0.5, 0.0]
+        assert controller.decision_counts == {"wait_backoff": 3}
+        assert "max_wait_ms" not in controller.last_decision
+
     def test_tune_wait_disabled(self):
         plant = FakePlant(max_wait_ms=2.0)
         controller = self.controller(plant, tune_wait=False)
@@ -276,6 +290,22 @@ class TestAutoscaling:
         assert self.controller(plant, cpu_count=1).worker_cap == 1
         assert self.controller(plant, cpu_count=8).worker_cap == 4
         assert self.controller(plant, cpu_count=2).worker_cap == 2
+
+    def test_worker_cap_counts_full_width_pools_when_unpinnable(self):
+        # Workers that cannot pin their BLAS pools each run one thread per
+        # core, so the cores hold a single worker.
+        plant = FakePlant(workers=2)
+        plant.blas_pinnable = False
+        controller = self.controller(plant, cpu_count=4)
+        assert controller.threads_per_worker == 4
+        assert controller.worker_cap == 1
+        decision = controller.tick(observation(workers=2))
+        assert plant.scale_calls == [1]
+        assert decision["scaled"]["reason"] == "over-core-cap"
+        assert self.controller(plant, cpu_count=4,
+                               min_workers=2).worker_cap == 2  # never below min
+        plant.blas_pinnable = True
+        assert self.controller(plant, cpu_count=4).worker_cap == 4
 
     def test_no_observation_skips(self):
         plant = FakePlant()
