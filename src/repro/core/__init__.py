@@ -16,7 +16,13 @@ from .range_analysis import (
     log2_range,
     recommend_es,
 )
-from .scaling import ScaleEstimator, ScaleFactor, compute_scale_factor, log2_center
+from .scaling import (
+    ScaleEstimator,
+    ScaleFactor,
+    compute_scale_factor,
+    log2_center,
+    log2_magnitudes,
+)
 from .trainer import PositTrainer
 from .transform import (
     LayerQuantContext,
@@ -41,6 +47,7 @@ __all__ = [
     "ScaleFactor",
     "compute_scale_factor",
     "log2_center",
+    "log2_magnitudes",
     "LayerQuantContext",
     "RoleStats",
     "Quantizer",

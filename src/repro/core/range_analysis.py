@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..posit import PositConfig
+from .scaling import log2_magnitudes
 
 __all__ = ["log2_range", "covered_log2_range", "recommend_es", "RangeObservation", "RangeTracker"]
 
@@ -105,14 +106,13 @@ class RangeObservation:
 
     def update(self, x: np.ndarray) -> None:
         """Fold one tensor into the statistics."""
-        mag = np.abs(np.asarray(x, dtype=np.float64)).ravel()
-        mag = mag[np.isfinite(mag) & (mag > 0)]
-        if mag.size == 0:
+        logs = log2_magnitudes(x)
+        if logs.size == 0:
             return
-        logs = np.log2(mag)
-        self.min_log2 = min(self.min_log2, float(logs.min()))
-        self.max_log2 = max(self.max_log2, float(logs.max()))
-        self.sum_range += float(logs.max() - logs.min())
+        low, high = logs.min(), logs.max()
+        self.min_log2 = min(self.min_log2, float(low))
+        self.max_log2 = max(self.max_log2, float(high))
+        self.sum_range += float(high - low)
         self.count += 1
 
     @property

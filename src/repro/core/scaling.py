@@ -29,7 +29,33 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["log2_center", "compute_scale_factor", "ScaleFactor", "ScaleEstimator"]
+__all__ = [
+    "log2_magnitudes",
+    "log2_center",
+    "compute_scale_factor",
+    "ScaleFactor",
+    "ScaleEstimator",
+]
+
+
+def log2_magnitudes(x: np.ndarray) -> np.ndarray:
+    """Return ``log2 |x|`` (float64, flattened) over the finite non-zero ``x``.
+
+    This is the one magnitude pass every Eq. (2) consumer shares: the
+    quantization hooks compute it once per tensor and hand it to both
+    :meth:`ScaleEstimator.scale_for` and
+    :meth:`~repro.core.transform.RoleStats.record`.
+    """
+    mag = np.abs(np.asarray(x, dtype=np.float64))
+    mag = mag[np.isfinite(mag) & (mag > 0)]
+    return np.log2(mag, out=mag)
+
+
+def _center_of(logs: np.ndarray) -> float:
+    """``round(mean(logs))``, or 0 when there are no magnitudes."""
+    if logs.size == 0:
+        return 0.0
+    return float(np.round(np.mean(logs)))
 
 
 def log2_center(x: np.ndarray) -> float:
@@ -38,11 +64,7 @@ def log2_center(x: np.ndarray) -> float:
     Zeros carry no magnitude information and would send the mean to
     ``-inf``, so they are excluded; an all-zero tensor has center 0.
     """
-    mag = np.abs(np.asarray(x, dtype=np.float64))
-    mag = mag[np.isfinite(mag) & (mag > 0)]
-    if mag.size == 0:
-        return 0.0
-    return float(np.round(np.mean(np.log2(mag))))
+    return _center_of(log2_magnitudes(x))
 
 
 def compute_scale_factor(x: np.ndarray, sigma: int = 2) -> float:
@@ -115,9 +137,12 @@ class ScaleEstimator:
         self.num_observations += 1
         return self.scale_for(x)
 
-    def observe(self, x: np.ndarray) -> None:
-        """Update the calibrated center with an exponential moving average."""
-        center = log2_center(x)
+    def observe(self, x: np.ndarray, logs: Optional[np.ndarray] = None) -> None:
+        """Update the calibrated center with an exponential moving average.
+
+        ``logs``, when given, must be :func:`log2_magnitudes` of ``x``.
+        """
+        center = log2_center(x) if logs is None else _center_of(logs)
         if self._calibrated_center is None:
             self._calibrated_center = center
         else:
@@ -141,13 +166,18 @@ class ScaleEstimator:
         """
         self._calibrated_center = None if center is None else float(center)
 
-    def scale_for(self, x: np.ndarray) -> float:
-        """Return the scale factor to use when quantizing ``x``."""
+    def scale_for(self, x: np.ndarray, logs: Optional[np.ndarray] = None) -> float:
+        """Return the scale factor to use when quantizing ``x``.
+
+        ``logs``, when given, must be :func:`log2_magnitudes` of ``x``; it
+        saves the magnitude pass a caller has already made.
+        """
         if not self.enabled:
             return 1.0
         if self.mode == "calibrated" and self._calibrated_center is not None:
             return float(2.0 ** (round(self._calibrated_center) + self.sigma))
-        return compute_scale_factor(x, sigma=self.sigma)
+        center = log2_center(x) if logs is None else _center_of(logs)
+        return float(2.0 ** (center + self.sigma))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..tensor import Tensor
-from .scaling import ScaleEstimator
+from .scaling import ScaleEstimator, log2_magnitudes
 
 __all__ = [
     "Quantizer",
@@ -62,15 +62,18 @@ def apply_scaled_quantization(values: np.ndarray, quantizer: Quantizer,
 
 
 def fake_quantize(x: Tensor, quantizer: Quantizer,
-                  scaler: Optional[ScaleEstimator] = None) -> Tensor:
+                  scaler: Optional[ScaleEstimator] = None, *,
+                  scale: Optional[float] = None) -> Tensor:
     """Quantize tensor values in the forward pass; straight-through backward.
 
     Used for weights and activations (Fig. 3a).  The straight-through
     estimator keeps the gradient with respect to the full-precision master
     copy intact, which matches the paper's flow where the FP32 master weights
-    are updated and then re-quantized.
+    are updated and then re-quantized.  A caller that has already computed
+    the Eq. (2) scale passes it as ``scale`` and ``scaler`` is not consulted.
     """
-    scale = scaler.scale_for(x.data) if scaler is not None else 1.0
+    if scale is None:
+        scale = scaler.scale_for(x.data) if scaler is not None else 1.0
 
     def _forward(values: np.ndarray) -> np.ndarray:
         return apply_scaled_quantization(values, quantizer, scale)
@@ -94,10 +97,11 @@ def grad_quantize(x: Tensor, quantizer: Quantizer,
         return values
 
     def _backward(upstream: np.ndarray, inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-        scale = scaler.scale_for(upstream) if scaler is not None else 1.0
+        logs = log2_magnitudes(upstream) if stats is not None else None
+        scale = scaler.scale_for(upstream, logs) if scaler is not None else 1.0
         quantized = apply_scaled_quantization(upstream, quantizer, scale)
         if stats is not None:
-            stats.record(upstream, scale)
+            stats.record(upstream, scale, logs)
         return quantized
 
     return x.apply(_forward, _backward, name="grad_quantize")
@@ -118,15 +122,19 @@ class RoleStats:
     max_log2: float = field(default=float("-inf"))
     sum_log2_center: float = 0.0
 
-    def record(self, values: np.ndarray, scale: float) -> None:
-        """Accumulate statistics for one quantized tensor."""
-        mag = np.abs(values[np.isfinite(values)])
-        mag = mag[mag > 0]
+    def record(self, values: np.ndarray, scale: float,
+               logs: Optional[np.ndarray] = None) -> None:
+        """Accumulate statistics for one quantized tensor.
+
+        ``logs``, when given, must be
+        :func:`~repro.core.scaling.log2_magnitudes` of ``values``.
+        """
+        if logs is None:
+            logs = log2_magnitudes(values)
         self.calls += 1
         self.elements += int(values.size)
         self.last_scale = scale
-        if mag.size:
-            logs = np.log2(mag)
+        if logs.size:
             self.min_log2 = min(self.min_log2, float(logs.min()))
             self.max_log2 = max(self.max_log2, float(logs.max()))
             self.sum_log2_center += float(logs.mean())
@@ -212,20 +220,24 @@ class LayerQuantContext:
         quantizer = self.quantizers["weight"]
         if not self.enabled or quantizer is None:
             return w
-        scaler = self.scalers["weight"]
-        scale = scaler.scale_for(w.data) if scaler is not None else 1.0
-        self.stats["weight"].record(w.data, scale)
-        return fake_quantize(w, quantizer, scaler)
+        scale = self._scale_and_record("weight", w.data)
+        return fake_quantize(w, quantizer, scale=scale)
 
     def activation(self, a: Tensor) -> Tensor:
         """Quantize an output activation tensor."""
         quantizer = self.quantizers["activation"]
         if not self.enabled or quantizer is None:
             return a
-        scaler = self.scalers["activation"]
-        scale = scaler.scale_for(a.data) if scaler is not None else 1.0
-        self.stats["activation"].record(a.data, scale)
-        return fake_quantize(a, quantizer, scaler)
+        scale = self._scale_and_record("activation", a.data)
+        return fake_quantize(a, quantizer, scale=scale)
+
+    def _scale_and_record(self, role: str, values: np.ndarray) -> float:
+        """Eq. (2) scale for ``values`` plus its stats, from one magnitude pass."""
+        scaler = self.scalers[role]
+        logs = log2_magnitudes(values)
+        scale = scaler.scale_for(values, logs) if scaler is not None else 1.0
+        self.stats[role].record(values, scale, logs)
+        return scale
 
     def error(self, x: Tensor) -> Tensor:
         """Wrap a layer input so its backward error is quantized (Fig. 3b)."""
@@ -242,9 +254,7 @@ class LayerQuantContext:
         quantizer = self.quantizers["weight_grad"]
         if not self.enabled or quantizer is None:
             return grad
-        scaler = self.scalers["weight_grad"]
-        scale = scaler.scale_for(grad) if scaler is not None else 1.0
-        self.stats["weight_grad"].record(grad, scale)
+        scale = self._scale_and_record("weight_grad", grad)
         return apply_scaled_quantization(grad, quantizer, scale)
 
     def param(self, data: np.ndarray, param=None) -> np.ndarray:

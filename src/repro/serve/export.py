@@ -84,9 +84,9 @@ class _ObservingEstimator(ScaleEstimator):
     accumulates becomes the frozen serving-side activation scale.
     """
 
-    def scale_for(self, x: np.ndarray) -> float:
-        self.observe(x)
-        return super().scale_for(x)
+    def scale_for(self, x: np.ndarray, logs: Optional[np.ndarray] = None) -> float:
+        self.observe(x, logs)
+        return super().scale_for(x, logs)
 
 
 def calibrate_activation_centers(model, fmt: Union[NumberFormat, str], loader,

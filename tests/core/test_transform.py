@@ -166,3 +166,103 @@ class TestLayerQuantContext:
         # With shifting, small weights survive the 8-bit format much better.
         direct = np.asarray(quantize(weights.data, CFG_FWD))
         assert np.abs(quantized.data - weights.data).mean() <= np.abs(direct - weights.data).mean()
+
+
+class _CountingEstimator(ScaleEstimator):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def scale_for(self, x, logs=None):
+        self.calls += 1
+        return super().scale_for(x, logs)
+
+
+def _calibrated(center=-3.0, **kwargs):
+    estimator = _CountingEstimator(mode="calibrated", **kwargs)
+    estimator.set_center(center)
+    return estimator
+
+
+#: Tensors whose magnitude pass has to drop something: zeros, NaN, ±inf,
+#: all of them at once, and nothing at all.
+AWKWARD_TENSORS = {
+    "normal": np.random.default_rng(5).standard_normal((3, 7)) * 1e-3,
+    "zeros": np.array([0.0, -0.0, 0.25, 0.0, -8.0]),
+    "non_finite": np.array([np.nan, np.inf, -np.inf, 3.0, -0.5, 0.0]),
+    "all_zero": np.zeros((4, 4)),
+    "only_non_finite": np.array([np.nan, np.inf, -np.inf]),
+    "empty": np.zeros(0),
+}
+
+ESTIMATORS = {
+    "dynamic": lambda: _CountingEstimator(sigma=2),
+    "calibrated": lambda: _calibrated(),
+    "calibrated_unset": lambda: _CountingEstimator(mode="calibrated"),
+    "disabled": lambda: _CountingEstimator(enabled=False),
+}
+
+
+class TestSingleMagnitudePass:
+    """Each hook takes one ``log2|x|`` pass and shares it with scale and stats."""
+
+    @pytest.mark.parametrize("mode", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("role", ["weight", "activation"])
+    def test_forward_hooks_call_scale_for_once(self, rng, role, mode):
+        scaler = ESTIMATORS[mode]()
+        context = LayerQuantContext("layer", **{f"{role}_quantizer": PositQuantizer(CFG_FWD),
+                                                f"{role}_scaler": scaler})
+        hook = getattr(context, role)
+        values = rng.standard_normal(50) * 1e-3
+        out = hook(Tensor(values, requires_grad=True))
+        assert scaler.calls == 1
+        scale = ESTIMATORS[mode]().scale_for(values)
+        np.testing.assert_array_equal(
+            out.data, apply_scaled_quantization(values, PositQuantizer(CFG_FWD), scale))
+        assert context.stats[role].last_scale == scale
+        hook(Tensor(values))
+        assert scaler.calls == 2
+
+    def test_backward_hooks_call_scale_for_once(self, rng):
+        error, weight_grad = _CountingEstimator(), _CountingEstimator()
+        context = LayerQuantContext(
+            "layer", error_quantizer=PositQuantizer(CFG_BWD),
+            weight_grad_quantizer=PositQuantizer(CFG_BWD),
+            error_scaler=error, weight_grad_scaler=weight_grad)
+        x = Tensor(rng.standard_normal(20), requires_grad=True)
+        context.error(x).backward(rng.standard_normal(20) * 1e-4)
+        context.weight_grad(rng.standard_normal(20) * 1e-5)
+        assert (error.calls, weight_grad.calls) == (1, 1)
+        assert context.stats["error"].calls == context.stats["weight_grad"].calls == 1
+
+    @pytest.mark.parametrize("name", sorted(AWKWARD_TENSORS))
+    def test_record_with_logs_matches_record(self, name):
+        from repro.core import RoleStats, log2_magnitudes
+
+        values = AWKWARD_TENSORS[name]
+        plain, shared = RoleStats(), RoleStats()
+        for scale in (0.25, 4.0):
+            plain.record(values, scale)
+            shared.record(values, scale, log2_magnitudes(values))
+        assert shared.as_dict() == plain.as_dict()
+
+    @pytest.mark.parametrize("mode", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("name", sorted(AWKWARD_TENSORS))
+    def test_scale_for_with_logs_matches_scale_for(self, name, mode):
+        from repro.core import log2_magnitudes
+
+        values = AWKWARD_TENSORS[name]
+        estimator = ESTIMATORS[mode]()
+        assert (estimator.scale_for(values, log2_magnitudes(values))
+                == estimator.scale_for(values))
+
+    @pytest.mark.parametrize("name", sorted(AWKWARD_TENSORS))
+    def test_log2_magnitudes_keeps_finite_nonzero_only(self, name):
+        from repro.core import log2_center, log2_magnitudes
+
+        values = AWKWARD_TENSORS[name]
+        logs = log2_magnitudes(values)
+        mag = np.abs(values[np.isfinite(values) & (values != 0)])
+        assert logs.dtype == np.float64
+        np.testing.assert_array_equal(logs, np.log2(mag))
+        assert log2_center(values) == (float(np.round(logs.mean())) if logs.size else 0.0)
