@@ -5,7 +5,8 @@ identically whether the codec kernels (:mod:`repro.formats.kernels`) or the
 historical scalar/vectorized module functions serve the call:
 
 * ``from_bits`` — exhaustive over all ``2**bits`` codes, including NaR/NaN
-  patterns and signed zeros (compared with ``signbit``, not just value).
+  patterns and signed zeros (compared with ``signbit``, not just value);
+  posit codes are also checked against the per-code scalar decoder.
 * ``to_bits`` / ``quantize`` — exhaustive over the representable grid, every
   midpoint between adjacent representable values, the one-ulp neighbours of
   every midpoint (the tie-to-even boundary), seeded log-uniform and normal
@@ -35,6 +36,8 @@ from repro.formats import (
     reference_ops,
     set_kernels_enabled,
 )
+from repro.posit import PositConfig
+from repro.posit import scalar as posit_scalar
 
 
 def _narrow_formats():
@@ -122,9 +125,13 @@ def test_from_bits_exhaustive(fmt):
     """All 2**bits codes decode identically through kernel and oracle."""
     ref = reference_ops(fmt)
     codes = np.arange(1 << fmt.bits, dtype=np.int64)
-    _assert_same_values(
-        fmt.from_bits(codes), ref.from_bits(codes), f"{fmt.spec()} from_bits"
-    )
+    kernel_vals = fmt.from_bits(codes)
+    _assert_same_values(kernel_vals, ref.from_bits(codes), f"{fmt.spec()} from_bits")
+    if isinstance(fmt, PositConfig):
+        # The posit decode LUT is built by the vectorized oracle; anchor it
+        # to the per-code scalar reference as well.
+        scalar = [posit_scalar.decode(int(code), fmt) for code in codes]
+        _assert_same_values(kernel_vals, scalar, f"{fmt.spec()} from_bits vs scalar")
 
 
 @pytest.mark.parametrize("mode", DETERMINISTIC_MODES)

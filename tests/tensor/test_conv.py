@@ -33,6 +33,23 @@ def reference_conv2d(x, w, b, stride, padding):
     return out
 
 
+def einsum_conv2d(x, w, upstream, stride, padding):
+    """The batched einsum lowering conv2d used before the patch-matrix GEMMs.
+
+    Returns ``(out, grad_x, grad_w)`` for the upstream gradient ``upstream``.
+    """
+    n = x.shape[0]
+    c_out, _, kh, kw = w.shape
+    cols = im2col(x, (kh, kw), stride, padding)
+    w_mat = w.reshape(c_out, -1)
+    out = np.einsum("of,nfl->nol", w_mat, cols, optimize=True).reshape(upstream.shape)
+    grad_out = upstream.reshape(n, c_out, -1)
+    grad_cols = np.einsum("of,nol->nfl", w_mat, grad_out, optimize=True)
+    grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
+    grad_w = np.einsum("nol,nfl->of", grad_out, cols, optimize=True).reshape(w.shape)
+    return out, grad_x, grad_w
+
+
 class TestIm2Col:
     def test_shape(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 8, 8))
@@ -89,20 +106,51 @@ class TestConv2dForward:
             conv2d(Tensor(np.zeros((1, 3, 5, 5))), Tensor(np.zeros((2, 4, 3, 3))))
 
 
+class TestConv2dMatchesEinsumLowering:
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((1, 3, 7, 9), (4, 3, 1, 1), 1, 0),
+        ((2, 3, 7, 9), (4, 3, 1, 1), 2, 0),
+        ((2, 4, 8, 6), (5, 4, 3, 3), 1, 1),
+        ((1, 4, 9, 7), (5, 4, 3, 3), 2, 2),
+        ((3, 2, 10, 9), (4, 2, 3, 3), 2, 0),
+        ((2, 3, 11, 13), (4, 3, 7, 7), 2, 3),
+        ((1, 2, 6, 5), (3, 2, 7, 7), 1, 3),
+        ((2, 3, 5, 8), (2, 3, 3, 3), (2, 1), (0, 3)),
+    ])
+    def test_forward_and_gradients(self, rng, x_shape, w_shape, stride, padding):
+        x_data = rng.standard_normal(x_shape)
+        w_data = rng.standard_normal(w_shape)
+        x = Tensor(x_data, requires_grad=True)
+        w = Tensor(w_data, requires_grad=True)
+        out = conv2d(x, w, None, stride=stride, padding=padding)
+        upstream = rng.standard_normal(out.shape)
+        out.backward(upstream)
+
+        stride_pair = stride if isinstance(stride, tuple) else (stride, stride)
+        padding_pair = padding if isinstance(padding, tuple) else (padding, padding)
+        ref_out, ref_gx, ref_gw = einsum_conv2d(x_data, w_data, upstream,
+                                                stride_pair, padding_pair)
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad, ref_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, ref_gw, rtol=1e-12, atol=1e-12)
+
+
 class TestConv2dGradients:
-    def test_gradcheck_all_inputs(self, rng, numgrad):
-        x_data = rng.standard_normal((2, 2, 5, 5))
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 2), ((2, 1), (1, 0))])
+    def test_gradcheck_all_inputs(self, rng, numgrad, stride, padding):
+        x_data = rng.standard_normal((2, 2, 5, 6))
         w_data = rng.standard_normal((3, 2, 3, 3))
         b_data = rng.standard_normal(3)
 
         def loss():
-            out = conv2d(Tensor(x_data), Tensor(w_data), Tensor(b_data), stride=2, padding=1)
+            out = conv2d(Tensor(x_data), Tensor(w_data), Tensor(b_data),
+                         stride=stride, padding=padding)
             return float((out * out).sum().item())
 
         x = Tensor(x_data, requires_grad=True)
         w = Tensor(w_data, requires_grad=True)
         b = Tensor(b_data, requires_grad=True)
-        out = conv2d(x, w, b, stride=2, padding=1)
+        out = conv2d(x, w, b, stride=stride, padding=padding)
         (out * out).sum().backward()
         np.testing.assert_allclose(x.grad, numgrad(loss, x_data), atol=1e-5)
         np.testing.assert_allclose(w.grad, numgrad(loss, w_data), atol=1e-5)
@@ -137,6 +185,17 @@ class TestPooling:
         x = Tensor(x_data, requires_grad=True)
         (max_pool2d(x, 2) ** 2).sum().backward()
         np.testing.assert_allclose(x.grad, numgrad(loss, x_data), atol=1e-5)
+
+    def test_max_pool_padding_never_wins(self):
+        """Padding is -inf: all-negative border windows keep their real maximum."""
+        x = Tensor(-1.0 - np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
+        out = max_pool2d(x, 3, stride=2, padding=1)
+        np.testing.assert_array_equal(out.data, [[[[-1.0, -2.0], [-5.0, -6.0]]]])
+        out.sum().backward()
+        # One unit of gradient per window, none of it lost to the padding.
+        assert x.grad.sum() == out.data.size
+        np.testing.assert_array_equal(x.grad[0, 0], [[1, 1, 0, 0], [1, 1, 0, 0],
+                                                     [0, 0, 0, 0], [0, 0, 0, 0]])
 
     def test_max_pool_stride_and_padding(self, rng):
         x = rng.standard_normal((1, 2, 7, 7))
