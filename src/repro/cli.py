@@ -44,7 +44,8 @@ replays before accepting traffic (:mod:`repro.serve`).
 ``serve`` runs the adaptive control plane by default: a periodic
 controller autoscales the worker count between ``--min-workers`` and
 ``--max-workers`` (never past the BLAS threads the usable cores hold),
-AIMD-tunes the coalescing wait against ``--slo-p99-ms``, and sheds
+AIMD-tunes the coalescing wait against ``--slo-p99-ms`` (from 0, and
+only upward while samples queue up behind each forward pass), and sheds
 overload as HTTP 429 + ``Retry-After`` instead of failing requests;
 ``--no-autoscale`` pins the worker count.  ``artifact inspect`` prints an
 artifact's manifest summary (version, per-tensor formats, guardrail,
@@ -182,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="crash-restart budget per worker (default: 2)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batch size cap (default: 32)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="max coalescing wait after the first request (default: 2)")
+    serve.add_argument("--max-wait-ms", type=float, default=0.0,
+                       help="how long the first request of a batch waits for "
+                            "company; 0 never waits, batching only what is "
+                            "already queued (default: 0)")
     serve.add_argument("--queue-size", type=int, default=None,
                        help="bounded admission queue per engine; overflow is "
                             "shed as HTTP 429 + Retry-After (default: 4096)")

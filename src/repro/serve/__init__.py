@@ -19,18 +19,23 @@ in posit is *served* in posit.  Four layers, composable separately:
   (golden fixtures under ``tests/serve/fixtures/`` pin this).
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`: loads one artifact,
   caches decoded weights + activation quantizers, and serves through
-  dynamic micro-batching (coalesce up to ``max_batch`` requests within
-  ``max_wait_ms``) with per-request latency and hardware-model energy
-  accounting.
+  work-conserving dynamic micro-batching (each forward pass takes every
+  queued request, up to ``max_batch``; a lone request never waits unless
+  ``max_wait_ms`` asks for it) with per-request latency and
+  hardware-model energy accounting.  Non-finite or misshapen samples are
+  refused at admission (HTTP 400).
 * :mod:`repro.serve.transport` — a stdlib JSON-over-HTTP server
   (``/predict``, ``/healthz``, ``/stats``) plus in-process and urllib
   clients sharing one request contract.
 * :mod:`repro.serve.cluster` — :class:`ServeCluster`: N engine worker
   *processes* (the single process is GIL-bound) behind one dispatcher with
   round-robin + least-outstanding routing, crash detection/restart, and
-  aggregated stats; each worker independently replays the artifact's v1.1
-  startup **guardrail** (a held-out calibration batch with its expected
-  logits and reference accuracy) and refuses to serve on any drift
+  aggregated stats.  A worker's pipe reader submits each request straight
+  into its engine and the reply leaves from the batcher when the last
+  sample resolves, so no thread waits per request.  Each worker
+  independently replays the artifact's v1.1 startup **guardrail** (a
+  held-out calibration batch with its expected logits and reference
+  accuracy) and refuses to serve on any drift
   (:class:`GuardrailError`).
 * :mod:`repro.serve.control` / :mod:`repro.serve.metrics` — the adaptive
   control plane: a lock-cheap rolling-window metrics collector sampled by
@@ -38,7 +43,8 @@ in posit is *served* in posit.  Four layers, composable separately:
   feeds a periodic :class:`Controller` that autoscales the cluster between
   ``min_workers``/``max_workers`` (capped at the usable cores, counted in
   BLAS threads — two workers on one core is slower than one), AIMD-tunes
-  ``max_wait_ms`` against a p99 SLO, and grades load as
+  ``max_wait_ms`` against a p99 SLO (raising it only while samples queue
+  up behind the forward pass), and grades load as
   ok/busy/overloaded.  Each cluster worker runs a BLAS pool of
   ``max(1, cores // workers)`` threads (:mod:`repro.serve.blas`).  Overflowing
   the bounded admission queue is backpressure, not failure:

@@ -8,7 +8,10 @@ for: a supervisor forks ``workers`` engine processes, each of which loads
 the packed artifact *independently* (and therefore replays the artifact's
 v1.1 startup guardrail independently — a worker that cannot reproduce the
 recorded logits exits non-zero and never serves), and dispatches requests
-over per-worker :func:`multiprocessing.Pipe` pairs.
+over per-worker :func:`multiprocessing.Pipe` pairs.  Inside a worker the
+pipe reader submits each request straight into the engine, and the
+batcher sends the reply once the request's last sample resolves: a
+request crosses two threads (reader, batcher) and parks none.
 
 Dispatch is round-robin with a least-outstanding fallback: the rotor picks
 the next live worker, but when that worker already has more requests in
@@ -26,8 +29,8 @@ deterministic, so a restart loop would only burn CPU.
 
 Shutdown drains: :meth:`ServeCluster.stop` stops admitting new requests,
 sends every worker a shutdown message (each worker drains its engine's
-queued requests before exiting), then joins — escalating to ``terminate``
-only for workers that fail to exit in time.
+queued requests, replying to each, before exiting), then joins —
+escalating to ``terminate`` only for workers that fail to exit in time.
 
 The cluster exposes the same client contract as the transports
 (``predict``/``healthz``/``stats``), so :func:`repro.serve.loadgen.run_load`
@@ -51,7 +54,7 @@ import numpy as np
 
 from ..obs.tracing import TraceConfig, Tracer
 from .blas import blas_env, blas_pinnable, set_blas_threads, usable_cores, worker_budget
-from .control import load_state as classify_load
+from .control import load_state as classify_load, mean_backlog
 from .engine import AdmissionError, BatchingConfig, GuardrailError, InferenceEngine
 from .metrics import MetricsCollector, merge_snapshots
 
@@ -72,12 +75,6 @@ class WorkerCrashed(RuntimeError):
 _STARTING, _READY, _FAILED, _DEAD, _RETIRED = (
     "starting", "ready", "failed", "dead", "retired")
 
-#: Persistent handler threads per worker process.  Bounds in-worker request
-#: concurrency (and therefore the micro-batcher's coalescing opportunity
-#: from one worker's perspective); spawning a thread per message instead
-#: costs ~0.2 ms/request, which at scale-out throughputs dominates the MACs.
-_WORKER_POOL_SIZE = 32
-
 
 def _cluster_context(name: Optional[str]) -> mp.context.BaseContext:
     """Start-method context: ``fork`` where available (fast, inherits the
@@ -86,6 +83,18 @@ def _cluster_context(name: Optional[str]) -> mp.context.BaseContext:
         return mp.get_context(name)
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _error_reply(message_id: int, exc: BaseException) -> dict:
+    """The pipe form of a failed request: exception type name + message."""
+    payload = {"id": message_id, "ok": False,
+               "etype": type(exc).__name__, "error": str(exc)}
+    retry_after = getattr(exc, "retry_after_s", None)
+    if retry_after is not None:
+        # Backpressure must survive the pipe: the supervisor rebuilds a
+        # typed AdmissionError so the transport can answer 429 + Retry-After.
+        payload["retry_after_s"] = float(retry_after)
+    return payload
 
 
 def _worker_main(index: int, artifact: str, batching: Optional[dict],
@@ -99,10 +108,16 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
     later budgets arrive as ``control`` messages.  Handshake next:
     construct the engine (which replays the guardrail) and report
     ``ready`` or ``failed`` — a guardrail violation makes the worker
-    exit with a non-zero status without ever serving a request.  Then serve
-    messages off the pipe through a persistent handler pool, so concurrent
-    dispatches coalesce in the engine's micro-batcher exactly like
-    concurrent HTTP clients do in the single-process server.
+    exit with a non-zero status without ever serving a request.
+
+    Then the pipe reader serves messages.  A ``predict`` is submitted
+    straight into the engine, sample by sample, and its reply is sent by a
+    done-callback on the batcher thread once the request's last sample
+    resolves — no thread parks per request, so concurrent dispatches
+    coalesce in the micro-batcher like concurrent HTTP clients do in the
+    single-process server.  Control-plane messages (``stats``,
+    ``metrics``, ``control``, ``ping``) go to one helper thread, so a slow
+    ``stats`` never holds up the reader.
     """
     # A terminal Ctrl-C signals the whole foreground process group; shutdown
     # is the supervisor's job (via the pipe), so workers must not die — or
@@ -141,80 +156,94 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
            "guardrail": engine.guardrail_status})
     engine.start()
 
-    def handle(message: dict) -> None:
+    def predict_reply(message: dict, futures: list) -> dict:
         try:
-            if message["kind"] == "predict":
-                samples = [np.asarray(sample, dtype=np.float64)
-                           for sample in message["samples"]]
-                trace_ctx = message.get("trace")
-                futures = [engine.submit(sample, trace=trace_ctx)
-                           for sample in samples]
-                logits = [future.result(timeout=60.0) for future in futures]
-                result = {
-                    "predictions": [int(np.argmax(row)) for row in logits],
-                    "logits": [np.asarray(row, dtype=np.float64).tolist()
-                               for row in logits],
-                    "worker": index,
-                }
-                if trace_ctx and trace_ctx.get("sampled", True):
-                    # Ship this request's worker-side spans back with the
-                    # reply; the supervisor merges them into one trace.
-                    # Safe to collect here: the engine closes a request's
-                    # spans before resolving its future.
-                    result["trace_spans"] = [
-                        span.to_dict() for span in
-                        engine.tracer.spans(trace_ctx.get("trace_id"))]
-            elif message["kind"] == "stats":
-                result = {**engine.stats(), "worker": index, "pid": os.getpid()}
-            elif message["kind"] == "metrics":
-                # The control-plane poll: cheap rolling-window signals only
-                # (no energy pricing, no lifetime percentile scan).
-                result = {
-                    "worker": index,
-                    "queue_depth": engine.queue_depth,
-                    "queue_capacity": engine.batching.queue_size,
-                    "max_wait_ms": engine.max_wait_ms,
-                    "load_state": engine.load_state(),
-                    "metrics": engine.metrics.snapshot(),
-                }
-            elif message["kind"] == "control":
-                # Actuation from the supervisor's controller.
-                if "max_wait_ms" in message:
-                    engine.set_max_wait_ms(message["max_wait_ms"])
-                if "blas_threads" in message:
-                    engine.set_blas_threads(message["blas_threads"])
-                result = {"worker": index, "max_wait_ms": engine.max_wait_ms}
-            elif message["kind"] == "ping":
-                result = {"worker": index, "pid": os.getpid()}
-            else:
-                raise ValueError(f"unknown message kind {message['kind']!r}")
+            logits = np.stack([future.result() for future in futures])
+            result = {
+                "predictions": logits.argmax(axis=1).tolist(),
+                "logits": logits.tolist(),
+                "worker": index,
+            }
+            trace_ctx = message.get("trace")
+            if trace_ctx and trace_ctx.get("sampled", True):
+                # Ship this request's worker-side spans back with the
+                # reply; the supervisor merges them into one trace.  Safe
+                # to collect here: the engine closes a request's spans
+                # before resolving its future.
+                result["trace_spans"] = [
+                    span.to_dict() for span in
+                    engine.tracer.spans(trace_ctx.get("trace_id"))]
         except BaseException as exc:  # noqa: BLE001 - errors travel the pipe
-            payload = {"id": message["id"], "ok": False,
-                       "etype": type(exc).__name__, "error": str(exc)}
-            retry_after = getattr(exc, "retry_after_s", None)
-            if retry_after is not None:
-                # Backpressure must survive the pipe: the supervisor
-                # rebuilds a typed AdmissionError so the transport can
-                # answer 429 + Retry-After.
-                payload["retry_after_s"] = float(retry_after)
-            reply(payload)
+            return _error_reply(message["id"], exc)
+        return {"id": message["id"], "ok": True, "result": result}
+
+    def predict(message: dict) -> None:
+        """Admit every sample now; reply when the last one resolves.
+
+        The supervisor refuses an empty request before dispatch, so every
+        message here has a last sample to reply from.
+        """
+        trace_ctx = message.get("trace")
+        try:
+            futures = [engine.submit(sample, trace=trace_ctx)
+                       for sample in message["samples"]]
+        except BaseException as exc:  # noqa: BLE001 - admission refused
+            reply(_error_reply(message["id"], exc))
             return
-        reply({"id": message["id"], "ok": True, "result": result})
+        unresolved = len(futures)
+        count_lock = threading.Lock()
 
-    work: queue.Queue = queue.Queue()
+        def resolved(_future: Future) -> None:
+            nonlocal unresolved
+            with count_lock:
+                unresolved -= 1
+                if unresolved:
+                    return
+            reply(predict_reply(message, futures))
 
-    def pool_loop() -> None:
-        while True:
-            message = work.get()
-            if message is None:
-                return
-            handle(message)
+        for future in futures:
+            future.add_done_callback(resolved)
 
-    pool = [threading.Thread(target=pool_loop, daemon=True,
-                             name=f"repro-serve-handler-{index}-{rank}")
-            for rank in range(_WORKER_POOL_SIZE)]
-    for thread in pool:
-        thread.start()
+    def control(message: dict) -> dict:
+        kind = message["kind"]
+        if kind == "stats":
+            return {**engine.stats(), "worker": index, "pid": os.getpid()}
+        if kind == "metrics":
+            # The control-plane poll: cheap rolling-window signals only
+            # (no energy pricing, no lifetime percentile scan).
+            return {
+                "worker": index,
+                "queue_depth": engine.queue_depth,
+                "queue_capacity": engine.batching.queue_size,
+                "max_wait_ms": engine.max_wait_ms,
+                "load_state": engine.load_state(),
+                "metrics": engine.metrics.snapshot(),
+            }
+        if kind == "control":
+            # Actuation from the supervisor's controller.
+            if "max_wait_ms" in message:
+                engine.set_max_wait_ms(message["max_wait_ms"])
+            if "blas_threads" in message:
+                engine.set_blas_threads(message["blas_threads"])
+            return {"worker": index, "max_wait_ms": engine.max_wait_ms}
+        if kind == "ping":
+            return {"worker": index, "pid": os.getpid()}
+        raise ValueError(f"unknown message kind {kind!r}")
+
+    control_queue: queue.Queue = queue.Queue()
+
+    def control_loop() -> None:
+        while (message := control_queue.get()) is not None:
+            try:
+                payload = {"id": message["id"], "ok": True,
+                           "result": control(message)}
+            except BaseException as exc:  # noqa: BLE001 - errors travel the pipe
+                payload = _error_reply(message["id"], exc)
+            reply(payload)
+
+    helper = threading.Thread(target=control_loop, daemon=True,
+                              name=f"repro-serve-control-{index}")
+    helper.start()
 
     try:
         while True:
@@ -222,15 +251,17 @@ def _worker_main(index: int, artifact: str, batching: Optional[dict],
                 message = conn.recv()
             except (EOFError, OSError):
                 break
-            if message.get("kind") == "shutdown":
+            kind = message.get("kind")
+            if kind == "shutdown":
                 break
-            work.put(message)
+            if kind == "predict":
+                predict(message)
+            else:
+                control_queue.put(message)
     finally:
-        for _ in pool:
-            work.put(None)
-        for thread in pool:
-            thread.join(timeout=5.0)
-        engine.stop()  # drains already-queued requests before exit
+        control_queue.put(None)
+        helper.join(timeout=5.0)
+        engine.stop()  # drains queued requests; their callbacks still reply
         conn.close()
 
 
@@ -885,8 +916,7 @@ class ServeCluster:
             "arrival_rate_rps": merged["rates"].get("arrivals", 0.0),
             "completion_rate_rps": merged["rates"].get("completed", 0.0),
             "rejected_recent": merged["counts"].get("rejected", 0.0),
-            "batch_occupancy": merged["gauges"].get(
-                "batch_occupancy", {}).get("mean", 0.0),
+            "backlog": mean_backlog(merged),
             "workers": self._target_workers,
             "workers_alive": alive,
         }

@@ -17,9 +17,13 @@ blew p99 out to 190 ms.  This module closes the loop:
     scales a 2-worker cluster down to 1, which is exactly the recorded
     regression;
   - **tunes** ``max_wait_ms`` online with an AIMD rule against a p99 SLO:
-    additive increase (more coalescing, more throughput) while p99 sits
-    comfortably under the SLO, multiplicative decrease the moment it
-    crosses — the classic stable shape for a feedback knob;
+    additive increase (more coalescing, more throughput) while samples
+    queue up behind each forward pass (a backlog of at least one sample
+    per batch) and p99 sits comfortably under the SLO, multiplicative
+    decrease the moment it crosses — the classic stable shape for a
+    feedback knob.  Without a backlog the wait settles at ``wait_min_ms``:
+    the batches a wait forms by holding requests are not load, and
+    counting them would let the wait justify itself;
   - holds **hysteresis**: scaling decisions need ``hysteresis_ticks``
     consecutive ticks of agreeing evidence and are followed by a
     ``cooldown_ticks`` quiet period, so the worker count cannot flap.
@@ -52,7 +56,7 @@ from typing import Callable, Optional
 from .blas import usable_cores
 
 __all__ = ["ControlConfig", "Controller", "EnginePlant", "ClusterPlant",
-           "load_state", "LOAD_STATES"]
+           "load_state", "mean_backlog", "LOAD_STATES"]
 
 #: The /healthz load states, from healthy to dead.  ``degraded``/``down``
 #: are liveness states (cluster workers missing); ``busy``/``overloaded``
@@ -86,7 +90,8 @@ class ControlConfig:
     ``slo_p99_ms`` is the target the AIMD rule steers toward; the wait
     tuner never pushes p99 *to* the SLO — it backs off multiplicatively as
     soon as p99 crosses it and only grows the wait again while p99 sits
-    under ``slo_headroom * slo_p99_ms``.
+    under ``slo_headroom * slo_p99_ms`` and batches open with a backlog
+    of at least one sample on average.
     """
 
     slo_p99_ms: float = 50.0
@@ -128,6 +133,19 @@ class ControlConfig:
         return dict(self.__dict__)
 
 
+def mean_backlog(snapshot: dict) -> float:
+    """Backlog samples per batch over the window of an engine snapshot.
+
+    The engine counts, per batch, the members behind the first that
+    queued while the previous forward pass ran (``backlog_samples``) and
+    the batches themselves; both are counters, so a merged cluster
+    snapshot gives the same ratio across workers.  0 before any batch.
+    """
+    counts = snapshot["counts"]
+    batches = counts.get("batches", 0.0)
+    return counts.get("backlog_samples", 0.0) / batches if batches else 0.0
+
+
 class EnginePlant:
     """Observe/actuate adapter over one in-process ``InferenceEngine``.
 
@@ -150,8 +168,7 @@ class EnginePlant:
             "arrival_rate_rps": snapshot["rates"].get("arrivals", 0.0),
             "completion_rate_rps": snapshot["rates"].get("completed", 0.0),
             "rejected_recent": snapshot["counts"].get("rejected", 0.0),
-            "batch_occupancy": snapshot["gauges"].get(
-                "batch_occupancy", {}).get("mean", 0.0),
+            "backlog": mean_backlog(snapshot),
             "workers": 1,
             "workers_alive": 1,
         }
@@ -265,8 +282,17 @@ class Controller:
                 # halving would approach it (and log a backoff) forever.
                 target = config.wait_min_ms
             reason = "p99-over-slo"
+        elif float(observation.get("backlog", 0.0)) < 1.0:
+            # Batches do not open with work already queued behind them:
+            # the traffic is not outrunning the batcher, so a wait only
+            # delays every request (the batches a wait itself forms do
+            # not count), however far p99 is under the SLO.
+            target = config.wait_min_ms
+            reason = "no-backlog"
         elif p99 < config.slo_headroom * config.slo_p99_ms:
-            # Additive increase: comfortably under SLO, buy batch occupancy.
+            # Additive increase: samples pile up behind each forward pass
+            # and p99 is comfortably under the SLO, so a longer wait buys
+            # batch occupancy.
             target = min(config.wait_max_ms, wait + config.wait_additive_ms)
             reason = "p99-under-headroom"
         else:
@@ -275,8 +301,7 @@ class Controller:
             self.plant.set_max_wait_ms(target)
             decision["max_wait_ms"] = target
             decision["wait_reason"] = reason
-            self._note("wait_backoff" if reason == "p99-over-slo"
-                       else "wait_increase",
+            self._note("wait_increase" if target > wait else "wait_backoff",
                        reason, **{"from": wait, "to": target, "p99_ms": p99})
 
     def _autoscale(self, observation: dict, decision: dict) -> None:

@@ -4,12 +4,22 @@ The serving counterpart of :func:`repro.core.inference.evaluate_quantized`:
 an :class:`InferenceEngine` loads one packed artifact
 (:mod:`repro.serve.artifact`), keeps the decoded weights and the activation
 quantizer cached for its lifetime, and serves predictions through **dynamic
-micro-batching** — single-sample requests are queued and coalesced into
-batches of up to ``max_batch`` samples, waiting at most ``max_wait_ms``
-after the first request arrives.  One forward pass then serves the whole
-batch, which is where the throughput comes from: the NumPy forward pass and
-the posit quantization kernels are vectorized, so a batch of 32 costs far
-less than 32 single-sample passes.
+micro-batching** — single-sample requests are queued, and the batcher
+takes everything already waiting (up to ``max_batch`` samples) into one
+forward pass.  The batcher is work-conserving by default: it never idles
+while a request waits, so a lone request starts its forward pass at once,
+while requests that arrive during a forward pass form the next batch from
+the backlog.  One forward pass then serves the whole batch, which is where
+the throughput comes from: the NumPy forward pass and the posit
+quantization kernels are vectorized, so a batch of 32 costs far less than
+32 single-sample passes.  A positive ``max_wait_ms`` additionally holds the
+first request of a batch that long for company, trading its latency for
+batch occupancy.
+
+Admission rejects what the forward pass must not see: a sample whose shape
+differs from the model's input shape, or that holds a NaN or an infinity,
+fails its own request with ``ValueError`` (HTTP 400) before it can join a
+batch.
 
 Correctness invariant: the model runs in eval mode (BatchNorm uses frozen
 running statistics, Dropout is identity), so every sample's logits are
@@ -90,14 +100,16 @@ class AdmissionError(RuntimeError):
 class BatchingConfig:
     """Micro-batching knobs.
 
-    ``max_batch`` bounds the coalesced batch size; ``max_wait_ms`` bounds
-    how long the first request of a batch waits for company (the
-    latency/throughput trade-off); ``queue_size`` bounds admission
-    (a full queue rejects instead of buffering unboundedly).
+    ``max_batch`` bounds the coalesced batch size; ``queue_size`` bounds
+    admission (a full queue rejects instead of buffering unboundedly).
+    ``max_wait_ms`` is how long the first request of a batch waits for
+    company.  The default 0 never waits: a batch is whatever is already
+    queued, so batches grow with the backlog and a lone request is served
+    at once.  A positive wait buys batch occupancy with latency.
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     queue_size: int = 4096
 
     def __post_init__(self):
@@ -222,6 +234,9 @@ class InferenceEngine:
         self._batched_samples = 0
         self._max_observed_batch = 0
         self._energy_uj = 0.0
+        #: When the last forward pass ended: a sample queued before it
+        #: arrived while the batcher was busy, i.e. it is backlog.
+        self._forward_done_at = 0.0
         self._compute_uj_per_sample, self._memory_uj_per_batch = (
             self._price_sample(input_hw))
         self.guardrail_status = "absent"
@@ -420,8 +435,9 @@ class InferenceEngine:
         honored verbatim; without a context the engine rolls its own
         sampling dice.
 
-        Raises :class:`AdmissionError` (a ``RuntimeError``) when the
-        bounded admission queue is full — carrying a measured
+        Raises ``ValueError`` for a sample of the wrong shape or with a
+        non-finite value, :class:`AdmissionError` (a ``RuntimeError``) when
+        the bounded admission queue is full — carrying a measured
         ``retry_after_s`` so the transport can answer 429 + ``Retry-After``
         — and plain ``RuntimeError`` when the engine is not started.
         """
@@ -434,6 +450,11 @@ class InferenceEngine:
             raise ValueError(
                 f"sample shape {sample.shape} does not match the model's "
                 f"input shape {self._input_shape}")
+        if not np.isfinite(sample).all():
+            # NaN/inf would reach the activation quantizers (posit NaR) and
+            # come back as logits no strict JSON client can parse.
+            raise ValueError("sample contains non-finite values (NaN or "
+                             "infinity); inputs must be finite numbers")
         request = _Request(sample)
         if self.tracer.enabled:
             request.trace = (
@@ -513,7 +534,18 @@ class InferenceEngine:
         return float(report["compute_energy_uj"]), memory_uj
 
     def _collect_batch(self) -> Optional[list]:
-        """Block for the first request, then coalesce until size/deadline.
+        """Block for the first request, then take what is queued behind it.
+
+        Everything already queued joins the batch (up to ``max_batch``)
+        without waiting; only a positive ``max_wait_ms`` keeps the batch
+        open for late arrivals until its deadline.
+
+        Counts ``batches`` and ``backlog_samples`` in :attr:`metrics`: the
+        members behind the first that queued before the last forward pass
+        ended.  That is load, and no wait can make it: a sample arriving
+        during the wait joins this batch, and clients that a shared reply
+        released together queue after the forward pass.  The control
+        plane raises the wait only on this signal.
 
         Returns ``None`` when the engine is stopping and the queue has been
         drained — already-queued requests are always served before exit.
@@ -536,27 +568,28 @@ class InferenceEngine:
         if first.trace is not None:
             first.picked_at = time.perf_counter()
         batch = [first]
+        backlog = 0
         deadline = time.perf_counter() + self._max_wait_ms / 1000.0
         while len(batch) < self.batching.max_batch:
             remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                # Deadline passed: still sweep anything already queued, so a
-                # burst that landed during the forward pass coalesces even
-                # with max_wait_ms=0.
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-            else:
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
+            try:
+                # Past the deadline (at once, by default) the sweep still
+                # takes every request already queued: a burst that landed
+                # during the last forward pass coalesces without a wait.
+                item = (self._queue.get(timeout=remaining) if remaining > 0
+                        else self._queue.get_nowait())
+            except queue.Empty:
+                break
             if item is _SHUTDOWN:
                 continue
             if item.trace is not None:
                 item.picked_at = time.perf_counter()
+            if item.enqueued_at < self._forward_done_at:
+                backlog += 1
             batch.append(item)
+        self.metrics.count("batches")
+        if backlog:
+            self.metrics.count("backlog_samples", backlog)
         return batch
 
     def _serve_batch(self, batch: list) -> Optional[np.ndarray]:
@@ -592,6 +625,7 @@ class InferenceEngine:
                           if traced and _codec_profiler.active else None)
             forward_start = time.perf_counter()
             logits = self._serve_batch(batch)
+            self._forward_done_at = time.perf_counter()
             if not isinstance(logits, np.ndarray):
                 # Fallback path: drop requests whose future already failed.
                 survivors = [(request, row)
@@ -649,8 +683,8 @@ class InferenceEngine:
 
         Stage boundaries come from timestamps the pipeline collected:
         enqueue -> pickup is queue wait, pickup -> forward start is batch
-        assembly (waiting for company), then the shared forward pass with
-        its batch-aggregated codec child.
+        assembly (plus any positive coalescing wait), then the shared
+        forward pass with its batch-aggregated codec child.
         """
         for request in traced:
             root = request.trace
@@ -678,8 +712,9 @@ class InferenceEngine:
         """Retune the coalescing wait online (clamped to >= 0).
 
         The AIMD actuator: longer waits buy batch occupancy (throughput),
-        shorter waits buy tail latency; the batcher reads the new value on
-        its next coalescing deadline, so no request in flight is disturbed.
+        shorter waits buy latency (0, the default, never holds a request);
+        the batcher reads the new value on its next coalescing deadline, so
+        no request in flight is disturbed.
         """
         self._max_wait_ms = max(0.0, float(value))
         return self._max_wait_ms

@@ -9,7 +9,10 @@ server runs anywhere the library does:
     one sample is a one-element list).  Every sample is submitted to the
     engine individually, so concurrent HTTP clients coalesce in the
     micro-batcher exactly like in-process callers.  Response:
-    ``{"predictions": [argmax...], "logits": [[...]...]}``.
+    ``{"predictions": [argmax...], "logits": [[...]...]}``, as strict JSON
+    (no ``NaN``/``Infinity`` tokens).  A sample of the wrong shape or with
+    a non-finite value is a 400; a full admission queue is a 429 with
+    ``Retry-After``.
 ``GET /healthz``
     ``{"status": "ok", "artifact": ..., "format": ...}`` — liveness.
 ``GET /stats``
@@ -235,21 +238,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, payload: dict,
                headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   "application/json", headers)
 
     def _reply_text(self, status: int, text: str,
                     content_type: str = "text/plain; version=0.0.4") -> None:
-        body = text.encode("utf-8")
+        self._send(status, text.encode("utf-8"), content_type)
+
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: Optional[dict] = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -313,9 +315,18 @@ class _Handler(BaseHTTPRequestHandler):
             # transport's error contract.
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
             return
+        try:
+            # Strict RFC 8259 JSON: a bare NaN/Infinity token breaks clients.
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except ValueError:
+            # Admission refuses non-finite inputs, but finite ones can still
+            # overflow to non-finite logits, which JSON cannot carry.
+            self._reply(500, {"error": "the model produced non-finite "
+                                       "logits for this input"})
+            return
         headers = ({TRACE_HEADER: payload["trace_id"]}
                    if payload.get("trace_id") else None)
-        self._reply(200, payload, headers=headers)
+        self._send(200, body, "application/json", headers)
 
 
 class _Server(ThreadingHTTPServer):

@@ -101,6 +101,14 @@ class TestClusterBasics:
             for sample in samples])
         assert np.array_equal(batched0, singles)
 
+    def test_control_snapshot_sees_no_backlog_for_sequential_requests(
+            self, cluster, samples):
+        # Sequential one-sample requests on both workers never queue behind
+        # a forward pass, so the controller has no reason for a wait.
+        for sample in samples[:6]:
+            cluster.predict([sample])
+        assert cluster.control_snapshot()["backlog"] == 0.0
+
     def test_round_robin_spreads_load(self, cluster, samples):
         for index in range(10):
             cluster.predict([samples[index % len(samples)]])
@@ -277,6 +285,19 @@ class TestClusterHTTP:
         with pytest.raises(ServeClientError) as excinfo:
             HTTPClient(server.url).predict([np.zeros(9)])
         assert excinfo.value.status == 400
+
+    def test_non_finite_inputs_are_400_on_every_worker(self, server):
+        # The HTTP client writes NaN/Infinity tokens; the worker that
+        # admits the sample refuses it, and the refusal crosses the pipe
+        # as a 400.  Six requests round-robin over both workers.
+        client = HTTPClient(server.url)
+        for bad in (np.nan, np.inf, -np.inf) * 2:
+            with pytest.raises(ServeClientError) as excinfo:
+                client.predict([np.zeros(2), np.array([bad, 1.0])])
+            assert excinfo.value.status == 400
+            assert "non-finite" in excinfo.value.message
+        assert all(count >= 2 for count in client.stats()["dispatched"])
+        assert client.predict([np.zeros(2)])["predictions"]
 
 
 # --------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from repro.serve import (
     merge_snapshots,
     render_prometheus,
 )
-from repro.serve.control import load_state
+from repro.serve.control import load_state, mean_backlog
 
 
 class FakeClock:
@@ -64,7 +64,9 @@ class FakePlant:
 
 
 def observation(workers=1, queue_depth=0, queue_capacity=100, p99_ms=10.0,
-                latency_samples=50, rejected=0.0):
+                latency_samples=50, rejected=0.0, backlog=4.0):
+    # The default scripted plant is backlogged (4 samples queue behind
+    # each forward pass), so the AIMD wait rule is free to act on p99 alone.
     return {
         "queue_depth": queue_depth,
         "queue_capacity": queue_capacity,
@@ -73,7 +75,7 @@ def observation(workers=1, queue_depth=0, queue_capacity=100, p99_ms=10.0,
         "arrival_rate_rps": 100.0,
         "completion_rate_rps": 100.0,
         "rejected_recent": rejected,
-        "batch_occupancy": 0.5,
+        "backlog": backlog,
         "workers": workers,
         "workers_alive": workers,
     }
@@ -181,6 +183,59 @@ class TestWaitTuning:
         assert plant.wait_history == [1.0, 0.5, 0.0]
         assert controller.decision_counts == {"wait_backoff": 3}
         assert "max_wait_ms" not in controller.last_decision
+
+    def test_single_sample_traffic_keeps_wait_at_floor(self):
+        # Nothing queues behind the forward pass: p99 far under the SLO
+        # must not talk the controller into a wait.
+        plant = FakePlant(max_wait_ms=0.0)
+        controller = self.controller(plant)
+        for _ in range(40):
+            controller.clock.advance(0.5)
+            controller.tick(observation(p99_ms=3.0, backlog=0.0))
+        assert plant.max_wait_ms == 0.0
+        assert plant.wait_history == []
+        assert controller.decision_counts == {}
+
+    def test_wait_made_batches_settle_at_the_floor(self):
+        # A positive wait pairs single-sample clients into batches of 2,
+        # but nothing queues behind the forward pass: the batches the wait
+        # itself forms do not keep it, and it drops to wait_min_ms in one
+        # decision.
+        plant = FakePlant(max_wait_ms=6.0)
+        controller = self.controller(plant, wait_min_ms=0.25)
+        for _ in range(10):
+            controller.tick(observation(p99_ms=40.0, backlog=0.0))
+        assert plant.wait_history == [0.25]
+        (entry,) = controller.decision_log
+        assert entry["action"] == "wait_backoff"
+        assert entry["reason"] == "no-backlog"
+        assert (entry["from"], entry["to"]) == (6.0, 0.25)
+
+    def test_backlog_traffic_grows_the_wait(self):
+        # Scripted plant: no backlog first (the wait stays at the floor),
+        # then 6 samples queued behind each forward pass — only then does
+        # the additive increase start.
+        plant = FakePlant(max_wait_ms=0.0)
+        controller = self.controller(plant)
+        for _ in range(5):
+            controller.tick(observation(p99_ms=5.0, backlog=0.0))
+        assert plant.wait_history == []
+        for _ in range(4):
+            controller.tick(observation(p99_ms=5.0, backlog=6.0))
+        assert plant.wait_history == [0.5, 1.0, 1.5, 2.0]
+        assert controller.last_decision["wait_reason"] == "p99-under-headroom"
+        # Sporadic backlog (under one sample per batch): back to the floor.
+        controller.tick(observation(p99_ms=5.0, backlog=0.5))
+        assert plant.max_wait_ms == 0.0
+
+    def test_missing_backlog_signal_never_grows_the_wait(self):
+        # An observation without a backlog signal proves no load.
+        plant = FakePlant(max_wait_ms=0.0)
+        controller = self.controller(plant)
+        scripted = observation(p99_ms=5.0)
+        del scripted["backlog"]
+        controller.tick(scripted)
+        assert plant.wait_history == []
 
     def test_tune_wait_disabled(self):
         plant = FakePlant(max_wait_ms=2.0)
@@ -405,6 +460,23 @@ class TestMetricsCollector:
         cell = merged["latency_ms"]["total"]
         assert cell["count"] == 2
         assert cell["max"] == pytest.approx(30.0)
+
+    def test_mean_backlog_across_engines(self):
+        # Counters merge by summing, so a cluster's backlog per batch is
+        # the ratio of the summed counts, however uneven the workers.
+        clock = FakeClock()
+        first, second = (MetricsCollector(window_s=10.0, clock=clock)
+                         for _ in range(2))
+        for _ in range(5):
+            first.count("batches")
+        for backlog in (7, 3):
+            second.count("batches")
+            second.count("backlog_samples", backlog)
+        assert mean_backlog(first.snapshot()) == 0.0
+        assert mean_backlog(second.snapshot()) == 5.0
+        merged = merge_snapshots([first.snapshot(), second.snapshot()])
+        assert mean_backlog(merged) == pytest.approx(10 / 7)
+        assert mean_backlog(MetricsCollector(clock=clock).snapshot()) == 0.0
 
     def test_render_prometheus_exposition(self):
         clock = FakeClock()

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentConfig
-from repro.serve import BatchingConfig, InferenceEngine, train_and_export
+from repro.obs import TraceConfig
+from repro.serve import (
+    BatchingConfig,
+    ControlConfig,
+    Controller,
+    EnginePlant,
+    InferenceEngine,
+    train_and_export,
+)
+from repro.serve.control import mean_backlog
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +153,105 @@ def test_poisoned_batch_isolates_offender(tmp_path):
             assert future.result(10.0).shape == (3,)
         with pytest.raises(Exception):
             bad_future.result(10.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected_at_admission(artifact, bad):
+    """NaN and ±inf fail their own request; the engine keeps serving."""
+    with InferenceEngine(artifact) as engine:
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.submit(np.array([0.5, bad]))
+        good = engine.predict(np.zeros(2), timeout=10.0)
+        stats = engine.stats()
+    assert np.isfinite(good).all()
+    assert stats["requests"] == 1
+
+
+# --------------------------------------------------------------------- #
+# Work-conserving batching (the default: no coalescing wait)
+# --------------------------------------------------------------------- #
+def test_queued_burst_coalesces_without_a_wait(artifact, samples):
+    """Requests queued behind a forward pass form the next batch at once."""
+    engine = InferenceEngine(artifact)
+    assert engine.batching == BatchingConfig(max_batch=32, max_wait_ms=0.0)
+    reference = engine.predict_batch(samples)
+    entered, release = threading.Event(), threading.Event()
+    forward = engine._forward
+
+    def parked(batch):
+        entered.set()
+        release.wait(timeout=30.0)
+        return forward(batch)
+
+    engine._forward = parked
+    with engine:
+        first = engine.submit(samples[0])
+        assert entered.wait(timeout=10.0)
+        # 40 requests queue up while the first forward pass is parked.
+        burst = [engine.submit(sample) for sample in samples[1:41]]
+        release.set()
+        results = [future.result(10.0) for future in [first] + burst]
+        stats = engine.stats()
+    # One pass for the lone first request, then the backlog in max_batch
+    # slices: 32 + 8.
+    assert stats["batches"] == 3
+    assert stats["max_batch_seen"] == 32
+    assert np.array_equal(np.stack(results), reference[:41])
+    # Every member behind the first of each slice queued during a forward
+    # pass: 31 + 7 backlog samples over three batches.
+    counts = engine.metrics.snapshot()["counts"]
+    assert (counts["batches"], counts["backlog_samples"]) == (3, 38)
+
+
+def test_wait_made_batches_are_not_backlog(artifact, samples):
+    """Two closed-loop clients and a 20 ms wait: batches of 2, no backlog.
+
+    The wait pairs the clients up, and a shared reply sends both back
+    together after the forward pass, so every batch holds two samples —
+    but none queued behind a running forward pass, and the controller
+    drops the wait to its floor instead of raising it.
+    """
+    engine = InferenceEngine(artifact, BatchingConfig(max_wait_ms=20.0))
+    with engine:
+        start = threading.Barrier(2)
+
+        def client(rows):
+            start.wait()
+            for row in rows:
+                engine.predict(row, timeout=10.0)
+
+        threads = [threading.Thread(target=client, args=(samples[i::2][:15],))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        stats = engine.stats()
+        snapshot = engine.metrics.snapshot()
+        controller = Controller(EnginePlant(engine), ControlConfig(
+            wait_min_ms=0.0, autoscale=False))
+        decision = controller.tick()
+    assert stats["mean_batch_size"] > 1.5
+    assert snapshot["counts"].get("backlog_samples", 0) == 0
+    assert mean_backlog(snapshot) == 0.0
+    assert decision["wait_reason"] == "no-backlog"
+    assert engine.max_wait_ms == 0.0
+
+
+def test_lone_request_is_not_held(artifact, samples):
+    """Sequential requests: the batch-assembly gap stays far below 1 ms."""
+    engine = InferenceEngine(artifact, tracing=TraceConfig(
+        enabled=True, profile_codec=False))
+    with engine:
+        for sample in samples[:40]:
+            engine.predict(sample, timeout=10.0)
+        gaps_ms = [span.duration_ms for span in engine.tracer.spans()
+                   if span.name == "batch"]
+        stats = engine.stats()
+    assert len(gaps_ms) == 40
+    assert stats["max_batch_seen"] == 1
+    assert np.median(gaps_ms) < 0.25, gaps_ms
+    assert np.percentile(gaps_ms, 90) < 1.0, gaps_ms
 
 
 def test_unquantized_activations_option(artifact, samples):

@@ -92,6 +92,41 @@ def test_malformed_request_is_400(server):
     assert http_error.value.code == 400
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_input_is_400(server, token):
+    # Python's JSON parser accepts these tokens; admission must not.
+    request = urllib.request.Request(
+        f"{server.url}/predict",
+        data=f'{{"inputs": [[0.5, {token}]]}}'.encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as http_error:
+        urllib.request.urlopen(request, timeout=10)
+    assert http_error.value.code == 400
+    assert "non-finite" in json.loads(http_error.value.read())["error"]
+    # The server keeps answering.
+    assert HTTPClient(server.url).predict([[0.5, 0.5]])["predictions"]
+
+
+def _strict_json(body: bytes):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(body, parse_constant=refuse)
+
+
+def test_non_finite_logits_are_a_json_500(artifact):
+    """A reply strict JSON cannot carry becomes a typed error, not NaN."""
+    engine = InferenceEngine(artifact)
+    engine._forward = lambda batch: np.full((len(batch), 3), np.nan)
+    with ModelServer(engine) as running:
+        request = urllib.request.Request(
+            f"{running.url}/predict", data=b'{"inputs": [[0.5, 0.5]]}',
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as http_error:
+            urllib.request.urlopen(request, timeout=10)
+    assert http_error.value.code == 500
+    assert "non-finite logits" in _strict_json(http_error.value.read())["error"]
+
+
 def test_unknown_path_is_404(server):
     with pytest.raises(ServeClientError) as excinfo:
         HTTPClient(server.url)._request("/nope")
